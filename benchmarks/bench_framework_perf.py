@@ -75,11 +75,9 @@ def test_fused_planner_speedup_over_legacy(benchmark, perf_log,
     noise cancels out.  The plans must also be identical -- speed
     without byte-identity would be a regression, not a win.
     """
-    from repro.dpipe.planner import (
-        clear_kernel_cache,
-        plan_cascade_legacy,
-    )
+    from repro.dpipe.planner import clear_kernel_cache
     from repro.validate import force_validation
+    from tests.oracles.dpipe_legacy import plan_cascade_legacy
 
     monkeypatch.setenv("REPRO_CACHE", "0")
     arch, cascade, tile = _mha_planning_inputs()
@@ -216,13 +214,15 @@ def test_tileseek_search_throughput(benchmark, perf_log):
     while the >= 10x evaluator gate lives in the throughput test
     above.
     """
+    from tests.oracles.tileseek_scalar import scalar_search
+
     workload, arch = _reference_search_inputs()
     searcher = TileSeek(iterations=400, seed=0)
 
     scalar_timings = []
     for _ in range(3):
         start = time.perf_counter()
-        scalar_result = searcher.search(workload, arch, scalar=True)
+        scalar_result = scalar_search(searcher, workload, arch)
         scalar_timings.append(time.perf_counter() - start)
     scalar_seconds = min(scalar_timings)
 

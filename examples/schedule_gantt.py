@@ -44,8 +44,8 @@ def show(arch_name: str, layer: str = "mha") -> None:
               "draw)\n")
         return
     dag = ComputationDAG.from_cascade(cascade)
-    window = best_window_schedule(dag, plan.bipartition, table,
-                                  max_orders=48)
+    window, _ = best_window_schedule(dag, plan.bipartition, table,
+                                     max_orders=48)
     timeline = schedule_timeline(window.schedule, table,
                                  zero_latency={ROOT})
     print(render_gantt(timeline))

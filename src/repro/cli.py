@@ -673,6 +673,7 @@ def _print_plan_summary(document) -> None:
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the planning service (HTTP, or stdio with ``--stdio``)."""
     import asyncio
+    import signal
 
     from repro.runner.cache import ENV_CACHE, ENV_CACHE_DIR
     from repro.runner.parallel import resolve_jobs
@@ -716,6 +717,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     slow = replica_slow_start_seconds()
     if slow > 0:
         time.sleep(slow)
+    # SIGTERM (what ``kill`` and supervisors send) stops the server
+    # the way Ctrl-C does, so ``app.close()`` still reaps the pool's
+    # worker processes instead of leaving them orphaned.
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         if args.stdio:
             asyncio.run(serve_stdio(app))

@@ -19,7 +19,6 @@ from repro.dpipe.planner import (
     clear_kernel_cache,
     kernel_cache_size,
     plan_cascade,
-    plan_cascade_legacy,
     plan_window_schedule,
 )
 from repro.dpipe.scheduler import ScheduleResult, dp_schedule
@@ -37,6 +36,5 @@ __all__ = [
     "fused_best_order",
     "kernel_cache_size",
     "plan_cascade",
-    "plan_cascade_legacy",
     "plan_window_schedule",
 ]

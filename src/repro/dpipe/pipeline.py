@@ -19,10 +19,8 @@ from repro.dpipe.latency import LatencyTable
 from repro.dpipe.scheduler import ScheduleResult, dp_schedule
 from repro.graph.dag import ComputationDAG
 from repro.graph.partition import Bipartition
-from repro.graph.toposort import (
-    all_topological_orders,
-    critical_path_order,
-)
+from repro.graph.toposort import critical_path_order
+from repro.resilience.budget import Budget
 
 #: Virtual root node name (Figure 7d).
 ROOT = "ROOT"
@@ -93,45 +91,36 @@ def best_window_schedule(
     bipartition: Bipartition,
     table: LatencyTable,
     max_orders: int,
-) -> WindowSchedule:
+    units: Optional[Budget] = None,
+) -> Tuple[WindowSchedule, str]:
     """DP-evaluate candidate topological orders of the window and
     keep the one with the smallest makespan.
 
     Candidates: up to ``max_orders`` enumerated orders, plus the
     critical-path list-scheduling order (long chains first) -- cheap
     insurance against the enumeration cap missing good interleavings
-    on wide windows.
+    on wide windows.  The critical-path order is always evaluated,
+    budget or not.
 
     Runs the fused branch-and-bound search
     (:func:`repro.dpipe.search.fused_best_order`), which evaluates the
-    identical candidate set in the identical order and returns a
-    byte-identical winner; :func:`legacy_window_schedule` keeps the
-    original two-pass search as the differential reference.
+    identical candidate set in the identical order as the original
+    enumerate-then-score search (kept as the differential reference
+    in ``tests/oracles/dpipe_legacy.py``) and returns a byte-identical
+    winner.
+
+    Args:
+        units: Optional anytime unit budget
+            (:class:`repro.resilience.budget.Budget`).
+
+    Returns:
+        The schedule plus its provenance (``complete`` /
+        ``budget_exhausted`` / ``fallback:first_order``).
     """
-    schedule, _ = best_window_schedule_ex(
-        dag, bipartition, table, max_orders
-    )
-    return schedule
-
-
-def best_window_schedule_ex(
-    dag: ComputationDAG,
-    bipartition: Bipartition,
-    table: LatencyTable,
-    max_orders: int,
-    units=None,
-) -> Tuple[WindowSchedule, str]:
-    """:func:`best_window_schedule` under an optional anytime unit
-    budget (:class:`repro.resilience.budget.Budget`).
-
-    Returns the schedule plus its provenance (``complete`` /
-    ``budget_exhausted`` / ``fallback:first_order``); the
-    critical-path candidate order is always evaluated, budget or not.
-    """
-    from repro.dpipe.search import fused_best_order_ex
+    from repro.dpipe.search import fused_best_order
 
     window = build_window(dag, bipartition)
-    order, result, provenance = fused_best_order_ex(
+    order, result, provenance = fused_best_order(
         window, table, max_orders, zero_latency={ROOT},
         extra_orders=(
             critical_path_order(window, _window_weights(window,
@@ -142,42 +131,6 @@ def best_window_schedule_ex(
     return WindowSchedule(
         bipartition=bipartition, order=order, schedule=result
     ), provenance
-
-
-def legacy_window_schedule(
-    dag: ComputationDAG,
-    bipartition: Bipartition,
-    table: LatencyTable,
-    max_orders: int,
-) -> WindowSchedule:
-    """The original enumerate-then-score window search.
-
-    Kept verbatim as the differential reference for
-    :func:`best_window_schedule`: property tests and the framework
-    benchmarks assert the fused search returns identical results at a
-    fraction of the cost.
-    """
-    window = build_window(dag, bipartition)
-    preds = window.pred_map()
-    candidates = list(
-        all_topological_orders(window, limit=max_orders)
-    )
-    candidates.append(
-        critical_path_order(window, _window_weights(window, table))
-    )
-    best: Optional[WindowSchedule] = None
-    for order in candidates:
-        result = dp_schedule(
-            order, preds, table, zero_latency={ROOT}
-        )
-        if best is None or result.makespan < best.schedule.makespan:
-            best = WindowSchedule(
-                bipartition=bipartition,
-                order=order,
-                schedule=result,
-            )
-    assert best is not None  # every DAG has >= 1 topological order
-    return best
 
 
 def subgraph_makespan(

@@ -1,7 +1,8 @@
 """Fused branch-and-bound search over topological orders (Section 4.3).
 
-The legacy DPipe pipeline (kept as the differential reference) first
-materializes up to ``max_orders`` full topological orders of a window
+The legacy DPipe pipeline (kept as the differential reference in
+``tests/oracles/dpipe_legacy.py``) first materializes up to
+``max_orders`` full topological orders of a window
 (:func:`repro.graph.toposort.all_topological_orders`) and then runs the
 Eq. 43-46 earliest-finish DP over each order from scratch
 (:func:`repro.dpipe.scheduler.dp_schedule`).  Orders produced by the
@@ -393,7 +394,8 @@ def fused_best_order(
     limit: int,
     zero_latency: Set[str] = frozenset(),
     extra_orders: Sequence[Tuple[str, ...]] = (),
-) -> Tuple[Tuple[str, ...], ScheduleResult]:
+    units: Optional[Budget] = None,
+) -> Tuple[Tuple[str, ...], ScheduleResult, str]:
     """Best (order, schedule) over enumerated + extra candidate orders.
 
     Byte-identical to the legacy two-pass search: evaluate the first
@@ -403,6 +405,16 @@ def fused_best_order(
     critical-path heuristic order), keeping the first strict-minimum
     makespan.
 
+    With ``units=None`` (or an unexhausted budget) the provenance is
+    ``complete``.  When the budget runs out mid-DFS the best
+    incumbent so far is returned with ``budget_exhausted``
+    provenance; if no leaf was reached at all, the first topological
+    order is scheduled directly (the legacy capped-enumeration
+    degenerate case) and the provenance is ``fallback:first_order``.
+    ``extra_orders`` are always evaluated -- they are O(n)
+    deterministic candidates, the DPipe analogue of the TileSeek
+    fallback ladder.
+
     Args:
         dag: The (window) DAG to search.
         limit: Cap on enumerated orders (the ``max_orders`` budget).
@@ -410,40 +422,13 @@ def fused_best_order(
         extra_orders: Candidate orders appended after enumeration,
             exactly as the legacy path appends the critical-path
             order.
+        units: Optional anytime unit budget, charged one unit per
+            DFS node visit.
 
     Returns:
-        The winning order and its schedule.  When validation is
+        ``(order, schedule, provenance)``.  When validation is
         enabled the winning schedule is audited in place (exact
         Eq. 43-46 replay) before being returned.
-    """
-    names, result, _ = fused_best_order_ex(
-        dag, table, limit, zero_latency, extra_orders
-    )
-    return names, result
-
-
-def fused_best_order_ex(
-    dag: ComputationDAG,
-    table: LatencyTable,
-    limit: int,
-    zero_latency: Set[str] = frozenset(),
-    extra_orders: Sequence[Tuple[str, ...]] = (),
-    units: Optional[Budget] = None,
-) -> Tuple[Tuple[str, ...], ScheduleResult, str]:
-    """:func:`fused_best_order` plus an anytime unit budget.
-
-    With ``units=None`` (or an unexhausted budget) this is exactly
-    :func:`fused_best_order` with ``complete`` provenance.  When the
-    budget runs out mid-DFS the best incumbent so far is returned with
-    ``budget_exhausted`` provenance; if no leaf was reached at all,
-    the first topological order is scheduled directly (the legacy
-    capped-enumeration degenerate case) and the provenance is
-    ``fallback:first_order``.  ``extra_orders`` are always evaluated
-    -- they are O(n) deterministic candidates, the DPipe analogue of
-    the TileSeek fallback ladder.
-
-    Returns:
-        ``(order, schedule, provenance)``.
     """
     if limit <= 0:
         raise ValueError("limit must be positive")

@@ -504,10 +504,10 @@ class PlanCache:
         removed = 0
         freed = 0
         if cap is not None:
-            for _, _, entry, size in scanned:
+            for mtime_ns, _, entry, size in scanned:
                 if total - freed <= cap:
                     break
-                evicted = self._evict(entry)
+                evicted = self._evict(entry, mtime_ns)
                 if evicted:
                     removed += 1
                     freed += evicted
@@ -556,23 +556,21 @@ class PlanCache:
                 stat.st_size,
             )
 
-    def _evict(self, entry: Path) -> int:
+    def _evict(self, entry: Path, expected: int) -> int:
         """Remove one GC victim; returns the bytes freed (0 if the
         eviction was skipped or lost a race).
 
-        The victim is atomically renamed to a unique trash name
-        first.  Whatever inode sat at the entry path moves in one
-        step, so two racing GCs can never both count the same
-        victim (the loser's rename finds nothing), and if a racing
-        ``put`` replaced the entry *after* this GC scanned it, the
-        fresh entry is detected (its mtime postdates the scan) and
-        restored -- a ``put`` racing a ``gc`` on the same key always
-        leaves the old or the new valid entry, never neither.
+        ``expected`` is the victim's ``st_mtime_ns`` as recorded by
+        the GC's scan.  The victim is atomically renamed to a unique
+        trash name first.  Whatever inode sat at the entry path
+        moves in one step, so two racing GCs can never both count
+        the same victim (the loser's rename finds nothing), and if a
+        racing ``put`` replaced the entry *after* this GC scanned
+        it, the fresh entry is detected (its mtime differs from the
+        scanned one) and restored -- a ``put`` racing a ``gc`` on
+        the same key always leaves the old or the new valid entry,
+        never neither.
         """
-        try:
-            expected = entry.stat().st_mtime_ns
-        except OSError:
-            return 0
         trash = entry.with_name(
             f".{entry.name}.{os.getpid()}."
             f"{next(_gc_counter)}.gc"

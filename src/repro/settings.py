@@ -34,8 +34,6 @@ variable               meaning
                        unit budget once at search entry
 ``REPRO_NO_FALLBACK``  disable the graceful-degradation ladder
 ``REPRO_BENCH_STRICT`` fail benchmarks outside their paper bands
-``REPRO_SCALAR_EVAL``  force TileSeek's scalar evaluation oracle
-                       (the batched NumPy path is the default)
 ``REPRO_LEARN``        consult the learned warm-start predictor on
                        cold searches (default off; off is
                        byte-identical to a tree without it)
@@ -130,9 +128,6 @@ KNOWN_SETTINGS: Dict[str, Tuple[str, str]] = {
     "REPRO_DEADLINE": ("float", "advisory soft deadline in seconds"),
     "REPRO_NO_FALLBACK": ("bool", "disable the degradation ladder"),
     "REPRO_BENCH_STRICT": ("bool", "fail benchmarks out of band"),
-    "REPRO_SCALAR_EVAL": (
-        "bool", "force the scalar TileSeek evaluation oracle"
-    ),
     "REPRO_LEARN": (
         "bool", "learned warm-start predictor on/off"
     ),

@@ -7,10 +7,10 @@ buffer model; feasible leaves are scored by the analytical simulator
 (DRAM energy or latency) and the scores drive UCB-guided Monte Carlo
 Tree Search.
 
-Evaluation runs batched by default: rollout frontiers and prune
-probes are priced through :class:`BatchedTilingEvaluator`'s
-vectorized array math, with the scalar path retained as a
-byte-identical differential oracle (``REPRO_SCALAR_EVAL``).
+Evaluation runs batched: rollout frontiers and prune probes are
+priced through :class:`BatchedTilingEvaluator`'s vectorized array
+math.  The original scalar search is kept as a byte-identical
+differential oracle in ``tests/oracles/tileseek_scalar.py``.
 """
 
 from repro.tileseek.batched import (
@@ -25,11 +25,7 @@ from repro.tileseek.buffer_model import (
     layer_buffer_requirement,
 )
 from repro.tileseek.evaluate import TilingAssessment, assess_tiling
-from repro.tileseek.mcts import (
-    MCTSStats,
-    mcts_search,
-    mcts_search_batched,
-)
+from repro.tileseek.mcts import MCTSStats, mcts_search_batched
 from repro.tileseek.search import TileSeek, TileSeekResult
 
 __all__ = [
@@ -44,7 +40,6 @@ __all__ = [
     "exactly_priceable",
     "fused_buffer_requirement",
     "layer_buffer_requirement",
-    "mcts_search",
     "mcts_search_batched",
     "table2_module_words",
 ]

@@ -7,11 +7,11 @@ The scalar modules (:mod:`repro.tileseek.buffer_model`,
 time -- pure Python all the way down, which makes them the search hot
 loop's bottleneck.  This module re-expresses the same formulas over an
 ``(N, 5)`` matrix of ``[b, d, m1, p, s]`` candidate vectors so a whole
-frontier is priced in one call.  The scalar path stays the
-differential oracle (``REPRO_SCALAR_EVAL``): every array here is
-required to be *bit-identical* to a loop over the scalar functions,
-which the property suite (``tests/tileseek/test_batched.py``) and the
-throughput benchmark both assert.
+frontier is priced in one call.  The scalar functions stay the
+differential oracle: every array here is required to be
+*bit-identical* to a loop over them, which the property suite
+(``tests/tileseek/test_batched.py``) and the throughput benchmark
+both assert.
 
 Two exactness rules make that possible:
 

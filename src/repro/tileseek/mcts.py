@@ -12,7 +12,15 @@ module implements the four MCTS phases generically:
 
 The evaluator returns a reward in ``[0, inf)`` (0 = invalid leaf), so
 constraint validation is part of the reward signal as well as the
-optional ``prune`` callback that drops provably infeasible subtrees.
+optional ``viable`` callback that drops provably infeasible subtrees.
+UCB1 selection is a plain loop over a node's children: tiling grids
+have at most a few dozen candidates per level, too few for array
+math to pay for its dispatch overhead.
+
+The original scalar driver (one leaf per evaluator call, a
+per-candidate prune predicate) is kept verbatim as the differential
+reference in ``tests/oracles/tileseek_scalar.py``; this driver must
+match it stat for stat.
 
 Two resilience behaviours (both deterministic):
 
@@ -32,48 +40,14 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.resilience.budget import Budget
 
 Assignment = Tuple[int, ...]
-Evaluate = Callable[[Assignment], float]
 EvaluateBatch = Callable[[Sequence[Assignment]], Sequence[float]]
-Prune = Callable[[Assignment], bool]
 Viable = Callable[[Assignment, int], List[int]]
-
-#: Child count below which UCB1 selection runs as a scalar loop --
-#: NumPy's per-ufunc dispatch overhead dominates tiny arrays (typical
-#: tiling grids have 8-25 candidates per level).  Both engines compute
-#: the same correctly-rounded expression, so the choice is invisible
-#: in results.
-VECTOR_SELECT_MIN = 32
-
-
-@dataclass
-class _Node:
-    """One search-tree node: a partial assignment prefix."""
-
-    prefix: Assignment
-    untried: List[int]
-    children: Dict[int, "_Node"] = field(default_factory=dict)
-    visits: int = 0
-    total_reward: float = 0.0
-
-    @property
-    def mean_reward(self) -> float:
-        return self.total_reward / self.visits if self.visits else 0.0
-
-    def ucb_score(self, child: "_Node", c: float) -> float:
-        """UCB1: exploitation plus exploration bonus."""
-        if child.visits == 0:
-            return float("inf")
-        explore = math.sqrt(math.log(self.visits) / child.visits)
-        return child.mean_reward + c * explore
-
 
 @dataclass(frozen=True)
 class MCTSStats:
@@ -97,225 +71,50 @@ class MCTSStats:
     exhausted: bool = False
 
 
-def mcts_search(
-    levels: Sequence[Sequence[int]],
-    evaluate: Evaluate,
-    iterations: int,
-    seed: int = 0,
-    exploration: float = 1.4,
-    prune: Optional[Prune] = None,
-    budget: Optional[Budget] = None,
-) -> MCTSStats:
-    """Run MCTS over a fixed-depth decision tree.
-
-    Args:
-        levels: Candidate values per decision level, in order.
-        evaluate: Scores a *complete* assignment; 0 marks invalid.
-        iterations: Selection/expansion/simulation/backprop rounds.
-        seed: RNG seed (search is fully deterministic given it).
-        exploration: UCB1 exploration constant.
-        prune: Optional predicate on *partial* assignments; True means
-            no completion can be feasible, so the child is never
-            expanded.  A prefix under which *every* candidate at some
-            level is pruned makes the iteration a dead-end: zero
-            reward is backpropagated and the evaluator is not called.
-        budget: Optional deterministic unit budget, charged one unit
-            per iteration; exhaustion ends the search with its
-            best-so-far result.
-
-    Returns:
-        Search statistics including the best complete assignment seen.
-    """
-    if iterations <= 0:
-        raise ValueError("iterations must be positive")
-    if any(len(values) == 0 for values in levels):
-        raise ValueError("every level needs at least one candidate")
-    rng = random.Random(seed)
-    depth = len(levels)
-
-    def viable_values(prefix: Assignment, level: int) -> List[int]:
-        values = list(levels[level])
-        if prune is not None:
-            values = [v for v in values if not prune(prefix + (v,))]
-        return values
-
-    root = _Node(prefix=(), untried=viable_values((), 0))
-    best_reward = -1.0
-    best_assignment: Assignment = tuple(
-        values[0] for values in levels
-    )
-    evaluations = 0
-    dead_ends = 0
-    node_count = 1
-    performed = 0
-    exhausted = False
-
-    for _ in range(iterations):
-        if budget is not None and not budget.charge():
-            exhausted = True
-            break
-        performed += 1
-        # Selection: descend while fully expanded and not a leaf.
-        node = root
-        path = [node]
-        while (
-            not node.untried
-            and node.children
-            and len(node.prefix) < depth
-        ):
-            node = max(
-                node.children.values(),
-                key=lambda ch: path[-1].ucb_score(ch, exploration),
-            )
-            path.append(node)
-        # Expansion: materialize one untried child.
-        if node.untried and len(node.prefix) < depth:
-            value = node.untried.pop(
-                rng.randrange(len(node.untried))
-            )
-            level = len(node.prefix) + 1
-            child = _Node(
-                prefix=node.prefix + (value,),
-                untried=(
-                    viable_values(node.prefix + (value,), level)
-                    if level < depth
-                    else []
-                ),
-            )
-            node.children[value] = child
-            node = child
-            path.append(node)
-            node_count += 1
-        # Simulation: random rollout to a full assignment.  A level
-        # with zero viable candidates is a dead-end: every completion
-        # is provably infeasible, so back up zero reward and move on
-        # rather than burning an evaluation on it.
-        assignment = list(node.prefix)
-        reward = 0.0
-        dead_end = False
-        for level in range(len(assignment), depth):
-            choices = viable_values(tuple(assignment), level)
-            if not choices:
-                dead_end = True
-                break
-            assignment.append(rng.choice(choices))
-        if dead_end:
-            dead_ends += 1
-        else:
-            reward = evaluate(tuple(assignment))
-            evaluations += 1
-            if reward > best_reward:
-                best_reward = reward
-                best_assignment = tuple(assignment)
-        # Backpropagation.
-        for visited in path:
-            visited.visits += 1
-            visited.total_reward += reward
-
-    return MCTSStats(
-        iterations=performed,
-        evaluations=evaluations,
-        best_reward=best_reward,
-        best_assignment=best_assignment,
-        tree_nodes=node_count,
-        dead_ends=dead_ends,
-        exhausted=exhausted,
-    )
-
-
 class _BNode:
-    """Array-backed search-tree node for the batched driver.
+    """One search-tree node: a partial assignment prefix.
 
-    Child statistics live in preallocated NumPy arrays on the
-    *parent* (``child_visits`` / ``child_totals``, one slot per
-    expansion in expansion order -- the same iteration order as the
-    scalar driver's insertion-ordered ``children`` dict), so UCB1
-    selection is one vectorized expression instead of a ``max`` over
-    per-child lambdas.  Scalar ``visits`` / ``total_reward`` mirrors
-    are kept per node for ``log(N)`` and backpropagation.
+    ``children`` is kept in expansion order, which fixes UCB1's
+    first-max tie-break.
     """
 
-    __slots__ = (
-        "prefix", "untried", "parent", "slot", "visits",
-        "total_reward", "children", "n_children", "child_visits",
-        "child_totals",
-    )
+    __slots__ = ("prefix", "untried", "visits", "total_reward",
+                 "children")
 
-    def __init__(
-        self,
-        prefix: Assignment,
-        untried: List[int],
-        parent: Optional["_BNode"] = None,
-        slot: int = 0,
-    ) -> None:
+    def __init__(self, prefix: Assignment, untried: List[int]) -> None:
         self.prefix = prefix
         self.untried = untried
-        self.parent = parent
-        self.slot = slot
         self.visits = 0
         self.total_reward = 0.0
         self.children: List["_BNode"] = []
-        self.n_children = 0
-        capacity = len(untried)
-        self.child_visits = np.zeros(capacity, dtype=np.int64)
-        self.child_totals = np.zeros(capacity, dtype=np.float64)
-
-    def add_child(self, child: "_BNode") -> None:
-        child.slot = self.n_children
-        self.children.append(child)
-        self.n_children += 1
 
     def select_child(self, exploration: float) -> "_BNode":
-        """Vectorized UCB1, bit-identical to the scalar rule.
+        """UCB1: ``mean + c * sqrt(log(N) / n)``, first max wins.
 
-        Zero-visit children score ``inf``; ``argmax`` returns the
-        first, matching Python ``max``'s first-max tie-break.  For the
-        visited case every float operation mirrors the scalar
-        ``mean + c * sqrt(log(N) / n)`` term for term: true division
-        and ``sqrt`` are correctly rounded IEEE operations, and
-        ``log(N)`` stays a scalar ``math.log`` call (NumPy's
-        vectorized ``log`` is not guaranteed bit-equal).
-
-        Below :data:`VECTOR_SELECT_MIN` children the arrays lose to
-        ufunc dispatch overhead, so a plain loop computes the same
-        correctly-rounded expression from the nodes' scalar mirrors
-        -- identical bits either way, only the arithmetic engine
-        differs.
+        A zero-visit child scores ``inf``, so the first one is
+        returned outright.
         """
-        n = self.n_children
         children = self.children
-        if n < VECTOR_SELECT_MIN:
-            for child in children:
-                if child.visits == 0:
-                    return child
-            log_n = math.log(self.visits)
-            best = children[0]
-            count = best.visits
-            best_score = (
-                best.total_reward / count
+        for child in children:
+            if child.visits == 0:
+                return child
+        log_n = math.log(self.visits)
+        best = children[0]
+        count = best.visits
+        best_score = (
+            best.total_reward / count
+            + exploration * math.sqrt(log_n / count)
+        )
+        for child in children[1:]:
+            count = child.visits
+            score = (
+                child.total_reward / count
                 + exploration * math.sqrt(log_n / count)
             )
-            for child in children[1:]:
-                count = child.visits
-                score = (
-                    child.total_reward / count
-                    + exploration * math.sqrt(log_n / count)
-                )
-                if score > best_score:
-                    best_score = score
-                    best = child
-            return best
-        visits = self.child_visits[:n]
-        if visits.min() == 0:
-            choice = int(np.argmax(visits == 0))
-        else:
-            totals = self.child_totals[:n]
-            log_n = math.log(self.visits)
-            scores = totals / visits + exploration * np.sqrt(
-                log_n / visits
-            )
-            choice = int(np.argmax(scores))
-        return self.children[choice]
+            if score > best_score:
+                best_score = score
+                best = child
+        return best
 
 
 def mcts_search_batched(
@@ -327,13 +126,13 @@ def mcts_search_batched(
     viable: Optional[Viable] = None,
     budget: Optional[Budget] = None,
 ) -> MCTSStats:
-    """Frontier-batched MCTS, byte-identical to :func:`mcts_search`.
+    """Frontier-batched MCTS over a fixed-depth decision tree.
 
-    Same contract and statistics as the scalar driver, but leaves are
-    priced through ``evaluate_batch`` -- whole frontiers in one call --
-    and candidate filtering goes through a ``viable`` oracle (the
-    batched minimal-completion prune) instead of a per-candidate
-    ``prune`` predicate.
+    Leaves are priced through ``evaluate_batch`` -- whole frontiers in
+    one call -- and candidate filtering goes through a ``viable``
+    oracle (the batched minimal-completion prune).  The statistics
+    equal those of the scalar reference driver, which evaluates one
+    leaf at a time and prunes with a per-candidate predicate.
 
     Byte-identity rests on two invariants:
 
@@ -349,8 +148,8 @@ def mcts_search_batched(
       folded back in original iteration order (best-incumbent updates
       and backpropagation included), after which the driver proceeds
       one leaf per batch -- selection is reward-dependent from then
-      on, and the remaining speedup comes from vectorized selection
-      and the batched prune/evaluator underneath.
+      on, and the remaining speedup comes from the batched
+      prune/evaluator underneath.
 
     Args:
         levels: Candidate values per decision level, in order.
@@ -368,8 +167,8 @@ def mcts_search_batched(
             best-so-far result.
 
     Returns:
-        Search statistics, equal to the scalar driver's field by
-        field.
+        Search statistics including the best complete assignment
+        seen, equal to the scalar driver's field by field.
     """
     if iterations <= 0:
         raise ValueError("iterations must be positive")
@@ -379,9 +178,12 @@ def mcts_search_batched(
     depth = len(levels)
 
     def viable_values(prefix: Assignment, level: int) -> List[int]:
+        # A fresh list: expansion pops from a node's ``untried``, and
+        # ``viable`` may hand out a memoized list its caller reads
+        # again after the search.
         if viable is None:
             return list(levels[level])
-        return viable(prefix, level)
+        return list(viable(prefix, level))
 
     root = _BNode(prefix=(), untried=viable_values((), 0))
     best_reward = -1.0
@@ -426,9 +228,8 @@ def mcts_search_batched(
                         if level < depth
                         else []
                     ),
-                    parent=node,
                 )
-                node.add_child(child)
+                node.children.append(child)
                 node = child
                 path.append(node)
                 node_count += 1
@@ -468,10 +269,6 @@ def mcts_search_batched(
             for visited in path:
                 visited.visits += 1
                 visited.total_reward += reward
-                parent = visited.parent
-                if parent is not None:
-                    parent.child_visits[visited.slot] += 1
-                    parent.child_totals[visited.slot] += reward
 
     return MCTSStats(
         iterations=performed,

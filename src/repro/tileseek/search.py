@@ -5,19 +5,14 @@ Binds the generic MCTS to the tiling problem: candidate grids for the
 analytical reward, and a memoized evaluation cache (MCTS revisits
 leaves; Timeloop-style evaluation is the expensive step in the paper).
 
-Two interchangeable evaluation paths drive the same search:
-
-* the **batched** default, which prices rollout frontiers and prune
-  probes through :mod:`repro.tileseek.batched` (vectorized NumPy
-  array math), and
-* the **scalar oracle** (``REPRO_SCALAR_EVAL=1`` or
-  ``search(..., scalar=True)``), the original one-candidate-at-a-time
-  path, kept verbatim as the differential reference.
-
-The two are byte-identical by contract -- same
-:class:`TileSeekResult` (config, assessment, stats, provenance) for
-every input -- which the property suite asserts; see DESIGN.md §10
-for the exactness argument.
+The search prices rollout frontiers and prune probes through
+:mod:`repro.tileseek.batched` (vectorized NumPy array math).  The
+original one-candidate-at-a-time search is kept verbatim as the
+differential reference in ``tests/oracles/tileseek_scalar.py``; the
+two are byte-identical by contract -- same :class:`TileSeekResult`
+(config, assessment, stats, provenance) for every input -- which the
+property suite asserts; see DESIGN.md §10 for the exactness
+argument.
 """
 
 from __future__ import annotations
@@ -35,14 +30,12 @@ from repro.resilience.budget import (
     resolve_budget,
 )
 from repro.resilience.ladder import classify_rung
-from repro.settings import env_bool
 from repro.tileseek.batched import (
     BatchedTilingEvaluator,
     exactly_priceable,
 )
 from repro.tileseek.buffer_model import (
     TilingConfig,
-    fused_buffer_requirement,
     intra_tile_p_prime,
     max_feasible_q_tile,
 )
@@ -51,11 +44,7 @@ from repro.tileseek.evaluate import (
     assess_tiling,
     reward_for,
 )
-from repro.tileseek.mcts import (
-    MCTSStats,
-    mcts_search,
-    mcts_search_batched,
-)
+from repro.tileseek.mcts import MCTSStats, mcts_search_batched
 
 #: Search order of the outer tiling factors (one MCTS tree level each).
 FACTOR_ORDER: Tuple[str, ...] = ("b", "d", "m1", "p", "s")
@@ -212,10 +201,15 @@ class TileSeek:
         warm_start: Sequence[Sequence[int]] = (),
         budget: Optional[int] = None,
         allow_fallback: Optional[bool] = None,
-        scalar: Optional[bool] = None,
         learned: Sequence[Sequence[int]] = (),
     ) -> TileSeekResult:
         """Find the best feasible outer tiling for one fused layer.
+
+        Rollout frontiers, prune probes and the incumbent pool are
+        priced through the vectorized evaluator.  Candidates whose
+        factors are too large for exact float64 conversion
+        (pathological warm starts) route through the scalar
+        evaluator row by row, keeping results bit-identical.
 
         Args:
             workload: The problem instance.
@@ -234,10 +228,6 @@ class TileSeek:
             allow_fallback: Whether the degradation ladder may supply
                 the result when the budgeted search yields nothing
                 better; ``None`` defers to ``REPRO_NO_FALLBACK``.
-            scalar: Force the scalar differential oracle (``True``) or
-                the batched path (``False``); ``None`` defers to
-                ``REPRO_SCALAR_EVAL`` (batched by default).  Both
-                return byte-identical results.
             learned: Optional predicted assignments (in
                 :data:`FACTOR_ORDER`) from the fitted corpus model
                 (:mod:`repro.learn`).  Treated exactly like warm
@@ -255,36 +245,6 @@ class TileSeek:
             RuntimeError: When the result would be a fallback rung and
                 fallback is disabled.
         """
-        if scalar is None:
-            scalar = env_bool("REPRO_SCALAR_EVAL", default=False)
-        if scalar:
-            return self.search_scalar(
-                workload, arch, warm_start=warm_start,
-                budget=budget, allow_fallback=allow_fallback,
-                learned=learned,
-            )
-        return self._search_batched(
-            workload, arch, warm_start=warm_start,
-            budget=budget, allow_fallback=allow_fallback,
-            learned=learned,
-        )
-
-    def search_scalar(
-        self,
-        workload: Workload,
-        arch: ArchitectureSpec,
-        warm_start: Sequence[Sequence[int]] = (),
-        budget: Optional[int] = None,
-        allow_fallback: Optional[bool] = None,
-        learned: Sequence[Sequence[int]] = (),
-    ) -> TileSeekResult:
-        """The scalar evaluation path (the differential oracle).
-
-        One candidate at a time through :func:`assess_tiling` and the
-        per-candidate prune -- the original implementation, retained
-        verbatim so the batched path has a bit-for-bit reference.  See
-        :meth:`search` for the contract.
-        """
         grid = self.candidate_grid(workload, arch)
         fixed = self.fixed_factors(arch)
         levels = [grid[name] for name in FACTOR_ORDER]
@@ -296,9 +256,6 @@ class TileSeek:
             allow_fallback = fallback_enabled()
         limit = resolve_budget(budget)
         unit_budget = Budget(limit) if limit is not None else None
-        # The minimal (most conservative) assignment doubles as the
-        # reward-normalization reference; seed the evaluation cache
-        # with its assessment so it is never priced twice.
         minimal = self._minimal_point(grid)
         minimal_cfg = self._config_from(minimal, fixed)
         # If even the minimal tile overflows the buffer, monotonicity
@@ -324,188 +281,6 @@ class TileSeek:
                 f"{workload.describe()} on {arch.name}",
                 diagnosis.as_dict(),
             )
-        reference_assessment = assess_tiling(
-            minimal_cfg, workload, arch
-        )
-        reference = reference_assessment.dram_words
-        cache: Dict[
-            Tuple[int, ...], Tuple[float, TilingAssessment]
-        ] = {
-            minimal: (
-                reward_for(
-                    reference_assessment, reference,
-                    self.reward_metric,
-                ),
-                reference_assessment,
-            )
-        }
-
-        def evaluate(assignment: Tuple[int, ...]) -> float:
-            entry = cache.get(assignment)
-            if entry is None:
-                cfg = self._config_from(assignment, fixed)
-                assessment = assess_tiling(cfg, workload, arch)
-                entry = (
-                    reward_for(
-                        assessment, reference, self.reward_metric
-                    ),
-                    assessment,
-                )
-                cache[assignment] = entry
-            return entry[0]
-
-        # Rollouts revisit the same prefixes constantly; the Table-2
-        # completion check is pure, so memoize it per prefix.
-        prune_cache: Dict[Tuple[int, ...], bool] = {}
-
-        def prune(partial: Tuple[int, ...]) -> bool:
-            # Lower-bound feasibility: complete the prefix with the
-            # smallest remaining candidates; if even that overflows
-            # the buffer, no completion is feasible (the Table-2
-            # formulas are monotone in every factor).
-            infeasible = prune_cache.get(partial)
-            if infeasible is None:
-                full = list(partial) + [
-                    min(grid[name])
-                    for name in FACTOR_ORDER[len(partial):]
-                ]
-                cfg = self._config_from(full, fixed)
-                required = fused_buffer_requirement(
-                    cfg, workload.model
-                )
-                infeasible = required > arch.buffer_words
-                prune_cache[partial] = infeasible
-            return infeasible
-
-        stats = mcts_search(
-            levels,
-            evaluate,
-            iterations=self.iterations,
-            seed=self.seed,
-            exploration=self.exploration,
-            prune=prune,
-            budget=unit_budget,
-        )
-        best_assignment = stats.best_assignment
-        best_reward = stats.best_reward
-        # Greedy incumbent: the anchor line (maximal feasible p with
-        # minimal companions) is a strong known-good starting point;
-        # never return anything worse than it.  Warm starts from
-        # adjacent searches and learned predictions join the same
-        # incumbent pool.  When a budget cut the MCTS short, these
-        # candidates double as the degradation ladder (anchor =
-        # ``heuristic`` rung, warm starts = ``warm_start``,
-        # predictions = ``learned``); they are deterministic, never
-        # budget-charged, and feasible by construction/validation.
-        anchor_p = max(
-            (p for p in grid["p"] if not prune(
-                (min(grid["b"]), min(grid["d"]), min(grid["m1"]), p)
-            )),
-            default=min(grid["p"]),
-        )
-        incumbent = (
-            min(grid["b"]), min(grid["d"]), min(grid["m1"]),
-            anchor_p, min(grid["s"]),
-        )
-        winner_index = -1  # the MCTS incumbent
-        fresh = 0  # incumbents priced by a real evaluator call
-        for index, candidate in enumerate(
-            (incumbent,) + warm + predicted
-        ):
-            if candidate not in cache:
-                fresh += 1
-            candidate_reward = evaluate(candidate)
-            if candidate_reward > best_reward:
-                best_assignment = candidate
-                best_reward = candidate_reward
-                winner_index = index
-        if not stats.exhausted:
-            provenance = PROVENANCE_COMPLETE
-        elif winner_index < 0:
-            provenance = PROVENANCE_BUDGET_EXHAUSTED
-        else:
-            provenance = fallback_provenance(classify_rung(
-                winner_index,
-                n_warm=len(warm),
-                anchor_is_minimal=anchor_p == min(grid["p"]),
-                n_learned=len(predicted),
-            ))
-            if not allow_fallback:
-                raise RuntimeError(
-                    f"search for {workload.describe()} on "
-                    f"{arch.name} degraded to {provenance} and "
-                    f"fallback is disabled (REPRO_NO_FALLBACK)"
-                )
-        # The winner was priced through the cache -- reuse its
-        # assessment instead of re-running the simulation step.
-        assessment = cache[best_assignment][1]
-        config = self._config_from(best_assignment, fixed)
-        return TileSeekResult(
-            config=config,
-            assessment=assessment,
-            stats=MCTSStats(
-                iterations=stats.iterations,
-                evaluations=stats.evaluations + fresh,
-                best_reward=best_reward,
-                best_assignment=best_assignment,
-                tree_nodes=stats.tree_nodes,
-                dead_ends=stats.dead_ends,
-                exhausted=stats.exhausted,
-            ),
-            provenance=provenance,
-        )
-
-    def _search_batched(
-        self,
-        workload: Workload,
-        arch: ArchitectureSpec,
-        warm_start: Sequence[Sequence[int]] = (),
-        budget: Optional[int] = None,
-        allow_fallback: Optional[bool] = None,
-        learned: Sequence[Sequence[int]] = (),
-    ) -> TileSeekResult:
-        """The batched evaluation path (the default).
-
-        Mirrors :meth:`search_scalar` decision for decision -- same
-        grid, RNG trajectory, budget charging, caching and provenance
-        -- but prices rollout frontiers, prune probes and the
-        incumbent pool through the vectorized evaluator.  Candidates
-        whose factors are too large for exact float64 conversion
-        (pathological warm starts) route through the scalar evaluator
-        row by row, keeping results bit-identical.
-        """
-        grid = self.candidate_grid(workload, arch)
-        fixed = self.fixed_factors(arch)
-        levels = [grid[name] for name in FACTOR_ORDER]
-        warm = self._validated_assignments(warm_start)
-        predicted = self._validated_assignments(learned)
-        if allow_fallback is None:
-            from repro.resilience.budget import fallback_enabled
-
-            allow_fallback = fallback_enabled()
-        limit = resolve_budget(budget)
-        unit_budget = Budget(limit) if limit is not None else None
-        minimal = self._minimal_point(grid)
-        minimal_cfg = self._config_from(minimal, fixed)
-        # Lazy imports: same cycle constraints as the scalar path.
-        from repro.resilience.diagnostics import (
-            diagnose_infeasible_batch,
-        )
-
-        diagnosis = diagnose_infeasible_batch(
-            workload.model,
-            arch.buffer_words,
-            m0=fixed["m0"],
-            rows=fixed["rows"],
-            cfgs=[minimal_cfg],
-        )[0]
-        if diagnosis is not None:
-            from repro.runner.faults import InfeasiblePoint
-
-            raise InfeasiblePoint(
-                f"{workload.describe()} on {arch.name}",
-                diagnosis.as_dict(),
-            )
         evaluator = BatchedTilingEvaluator(
             workload,
             arch,
@@ -513,6 +288,9 @@ class TileSeek:
             rows=fixed["rows"],
             reward_metric=self.reward_metric,
         )
+        # The minimal (most conservative) assignment doubles as the
+        # reward-normalization reference; seed the evaluation cache
+        # with its assessment so it is never priced twice.
         reference_assessment = evaluator.assessment_at(
             evaluator.assess(evaluator.matrix_from([minimal])), 0
         )
@@ -533,9 +311,9 @@ class TileSeek:
             assignments: Sequence[Tuple[int, ...]],
         ) -> List[float]:
             # One vectorized pricing pass over the batch's unique
-            # cache misses; equivalent to calling the scalar
-            # ``evaluate`` closure sequentially (duplicates within a
-            # batch hit the first occurrence's cached entry).
+            # cache misses; equivalent to pricing the assignments one
+            # by one through the cache (duplicates within a batch hit
+            # the first occurrence's cached entry).
             fresh = []
             seen = set()
             for assignment in assignments:
@@ -572,9 +350,12 @@ class TileSeek:
                 )
             return [cache[a][0] for a in assignments]
 
-        # The minimal-completion prune, one vectorized call per
-        # unique prefix covering the whole candidate level (the
-        # scalar path prices the same completions one at a time).
+        # Lower-bound feasibility prune: complete the prefix with the
+        # smallest remaining candidates; if even that overflows the
+        # buffer, no completion is feasible (the Table-2 formulas are
+        # monotone in every factor).  Rollouts revisit the same
+        # prefixes constantly, so each unique prefix is priced once,
+        # in one vectorized call covering the whole candidate level.
         grid_dtype = evaluator.words_dtype(
             [max(grid[name]) for name in FACTOR_ORDER]
         )
@@ -603,8 +384,16 @@ class TileSeek:
         )
         best_assignment = stats.best_assignment
         best_reward = stats.best_reward
-        # Greedy incumbent pool (anchor line + warm starts), priced
-        # in one batch; the fold mirrors the scalar loop in order.
+        # Greedy incumbent: the anchor line (maximal feasible p with
+        # minimal companions) is a strong known-good starting point;
+        # never return anything worse than it.  Warm starts from
+        # adjacent searches and learned predictions join the same
+        # incumbent pool, priced in one batch.  When a budget cut the
+        # MCTS short, these candidates double as the degradation
+        # ladder (anchor = ``heuristic`` rung, warm starts =
+        # ``warm_start``, predictions = ``learned``); they are
+        # deterministic, never budget-charged, and feasible by
+        # construction/validation.
         anchor_p = max(
             viable((minimal[0], minimal[1], minimal[2]), 3),
             default=minimal[3],
@@ -644,6 +433,8 @@ class TileSeek:
                     f"{arch.name} degraded to {provenance} and "
                     f"fallback is disabled (REPRO_NO_FALLBACK)"
                 )
+        # The winner was priced through the cache -- reuse its
+        # assessment instead of re-running the simulation step.
         assessment = cache[best_assignment][1]
         config = self._config_from(best_assignment, fixed)
         return TileSeekResult(

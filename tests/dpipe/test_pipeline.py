@@ -63,7 +63,7 @@ class TestWindowSchedule:
     ):
         parts = enumerate_bipartitions(mha_dag)
         for part in parts[:5]:
-            window = best_window_schedule(
+            window, _ = best_window_schedule(
                 mha_dag, part, mha_table, max_orders=8
             )
             fill = subgraph_makespan(mha_dag, part.first, mha_table)
@@ -78,10 +78,10 @@ class TestWindowSchedule:
 
     def test_more_orders_never_hurts(self, mha_dag, mha_table):
         part = enumerate_bipartitions(mha_dag)[0]
-        few = best_window_schedule(
+        few, _ = best_window_schedule(
             mha_dag, part, mha_table, max_orders=1
         )
-        many = best_window_schedule(
+        many, _ = best_window_schedule(
             mha_dag, part, mha_table, max_orders=32
         )
         assert many.period_seconds <= few.period_seconds + 1e-12

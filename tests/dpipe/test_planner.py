@@ -12,6 +12,7 @@ from repro.einsum.builders import (
     qkv_cascade,
 )
 from repro.sim.mapping import inner_tile_extents
+from tests.oracles.dpipe_legacy import plan_cascade_legacy
 
 
 def plan_for(layer, builder, arch, n_epochs=256, seq=65536,
@@ -217,10 +218,7 @@ class TestFusedPlannerEqualsLegacy:
 
     @pytest.mark.parametrize("layer,builder", CASES)
     def test_default_options(self, cloud, layer, builder):
-        from repro.dpipe.planner import (
-            clear_kernel_cache,
-            plan_cascade_legacy,
-        )
+        from repro.dpipe.planner import clear_kernel_cache
         from repro.model.config import named_model
         from repro.sim.mapping import inner_tile_extents
 
@@ -244,10 +242,7 @@ class TestFusedPlannerEqualsLegacy:
         DPipeOptions(max_orders=3, max_bipartitions=2),
     ], ids=["energy", "edp", "pinned", "nopipe", "tiny-caps"])
     def test_option_variants(self, edge, options):
-        from repro.dpipe.planner import (
-            clear_kernel_cache,
-            plan_cascade_legacy,
-        )
+        from repro.dpipe.planner import clear_kernel_cache
         from repro.model.config import named_model
         from repro.sim.mapping import inner_tile_extents
 
@@ -298,7 +293,6 @@ class TestKernelMemoization:
         from repro.dpipe.planner import (
             clear_kernel_cache,
             kernel_cache_size,
-            plan_cascade_legacy,
         )
         from repro.validate import force_validation
 

@@ -16,12 +16,7 @@ import pytest
 
 from repro.arch.pe import PEArrayKind
 from repro.dpipe.latency import LatencyTable
-from repro.dpipe.pipeline import (
-    ROOT,
-    best_window_schedule,
-    build_window,
-    legacy_window_schedule,
-)
+from repro.dpipe.pipeline import ROOT, best_window_schedule, build_window
 from repro.dpipe.scheduler import dp_schedule
 from repro.dpipe.search import InternedProblem, fused_best_order
 from repro.graph.dag import ComputationDAG
@@ -30,6 +25,7 @@ from repro.graph.toposort import (
     all_topological_orders,
     critical_path_order,
 )
+from tests.oracles.dpipe_legacy import legacy_window_schedule
 
 TWO_D = PEArrayKind.ARRAY_2D
 ONE_D = PEArrayKind.ARRAY_1D
@@ -102,7 +98,7 @@ def legacy_best(dag, table, limit, zero_latency=frozenset(),
 def assert_identical(fused, reference):
     """Every observable field, including dict iteration order (the
     planner accumulates floats in that order)."""
-    f_order, f_res = fused
+    f_order, f_res, _ = fused
     l_order, l_res = reference
     assert f_order == l_order
     assert f_res.makespan == l_res.makespan
@@ -188,7 +184,9 @@ class TestFusedEqualsLegacy:
         dag = random_layered_dag(rng)
         table = random_table(rng, dag)
         for bipartition in enumerate_bipartitions(dag, limit=4):
-            fused = best_window_schedule(dag, bipartition, table, 48)
+            fused, _ = best_window_schedule(
+                dag, bipartition, table, 48
+            )
             legacy = legacy_window_schedule(dag, bipartition, table,
                                             48)
             assert fused.order == legacy.order
@@ -208,7 +206,7 @@ class TestSearchEdgeCases:
             seconds={("a", TWO_D): 2.0, ("a", ONE_D): 3.0},
             loads={"a": 1.0},
         )
-        order, result = fused_best_order(dag, table, 48)
+        order, result, _ = fused_best_order(dag, table, 48)
         assert order == ("a",)
         assert result.makespan == 2.0
         assert result.assignment["a"] is TWO_D
@@ -223,7 +221,7 @@ class TestSearchEdgeCases:
                      for k in (TWO_D, ONE_D)},
             loads={n: 1.0 for n in "abc"},
         )
-        order, result = fused_best_order(dag, table, 48)
+        order, result, _ = fused_best_order(dag, table, 48)
         assert order == ("a", "b", "c")
         assert result.makespan == 3.0
 

@@ -11,6 +11,12 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -306,3 +312,75 @@ class TestClient:
             app.close()
         assert status == 200
         assert json.loads(body)["ok"] is True
+
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+def session_members(sid):
+    """Live (non-zombie) processes whose session id is ``sid``."""
+    members = []
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        # Fields after the parenthesized command name: state is
+        # field 3, session field 6 (1-based, see proc(5)).
+        fields = stat[stat.rindex(")") + 2:].split()
+        if fields[0] != "Z" and int(fields[3]) == sid:
+            members.append(int(entry.name))
+    return members
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(), reason="needs procfs"
+)
+class TestServeProcess:
+    def test_sigterm_reaps_the_pool_worker(self, tmp_path):
+        """``repro serve --jobs 1`` forks its pool worker on the
+        first plan; SIGTERM must shut the pool down with the server
+        so no process of the server's session survives it."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + env.get("PYTHONPATH", "").split(os.pathsep)
+        ).rstrip(os.pathsep)
+        log = tmp_path / "serve.log"
+        with open(log, "w") as sink:
+            server = subprocess.Popen(
+                [sys.executable, "-m", "repro", "serve", "--jobs", "1",
+                 "--port", "0", "--cache-dir", str(tmp_path / "cache")],
+                env=env, stdin=subprocess.DEVNULL, stdout=sink,
+                stderr=sink, start_new_session=True,
+            )
+        try:
+            port = None
+            deadline = time.monotonic() + 60
+            while port is None and time.monotonic() < deadline:
+                assert server.poll() is None, log.read_text()
+                for line in log.read_text().splitlines():
+                    if line.startswith("SERVING "):
+                        port = int(line.split()[2])
+                time.sleep(0.01)
+            assert port is not None, log.read_text()
+            status, _ = remote_call(
+                "127.0.0.1", port, plan_request(), timeout=120
+            )
+            assert status == 200
+            assert len(session_members(server.pid)) >= 2
+            server.send_signal(signal.SIGTERM)
+            assert server.wait(timeout=60) == 0, log.read_text()
+            deadline = time.monotonic() + 10
+            survivors = session_members(server.pid)
+            while survivors and time.monotonic() < deadline:
+                time.sleep(0.05)
+                survivors = session_members(server.pid)
+            assert survivors == []
+        finally:
+            for pid in session_members(server.pid):
+                os.kill(pid, signal.SIGKILL)
+            if server.poll() is None:
+                server.kill()
+                server.wait()

@@ -15,18 +15,15 @@ import random
 import numpy as np
 import pytest
 
+import repro.core.executor as executor_module
 from repro.arch.spec import cloud_architecture, edge_architecture
 from repro.core.serialize import (
     report_to_dict,
     tileseek_result_to_dict,
 )
-from repro.model.config import named_model
+from repro.model.config import ModelConfig, named_model
 from repro.model.workload import Workload
 from repro.resilience.budget import Budget
-from repro.resilience.diagnostics import (
-    diagnose_infeasible,
-    diagnose_infeasible_batch,
-)
 from repro.runner.parallel import GridPoint, run_grid
 from repro.tileseek.batched import (
     EXACT_FLOAT_LIMIT,
@@ -42,8 +39,9 @@ from repro.tileseek.buffer_model import (
     layer_buffer_requirement,
 )
 from repro.tileseek.evaluate import assess_tiling, reward_for
-from repro.tileseek.mcts import mcts_search, mcts_search_batched
+from repro.tileseek.mcts import mcts_search_batched
 from repro.tileseek.search import FACTOR_ORDER, TileSeek
+from tests.oracles.tileseek_scalar import mcts_search, scalar_search
 
 MODELS = ("llama3", "t5", "bert", "llama3-gqa")
 
@@ -332,11 +330,11 @@ class TestFullSearchIdentity:
                 )
                 for budget in (None, 16):
                     searcher = TileSeek(iterations=120, seed=seed)
-                    scalar = searcher.search(
-                        workload, arch, budget=budget, scalar=True
+                    scalar = scalar_search(
+                        searcher, workload, arch, budget=budget
                     )
                     batched = searcher.search(
-                        workload, arch, budget=budget, scalar=False
+                        workload, arch, budget=budget
                     )
                     assert result_bytes(scalar) == result_bytes(
                         batched
@@ -359,13 +357,12 @@ class TestFullSearchIdentity:
         for warm in warm_sets:
             for budget in (None, 1, 16):
                 searcher = TileSeek(iterations=100, seed=4)
-                scalar = searcher.search(
-                    workload, cloud, warm_start=warm,
-                    budget=budget, scalar=True,
+                scalar = scalar_search(
+                    searcher, workload, cloud, warm_start=warm,
+                    budget=budget,
                 )
                 batched = searcher.search(
-                    workload, cloud, warm_start=warm,
-                    budget=budget, scalar=False,
+                    workload, cloud, warm_start=warm, budget=budget,
                 )
                 assert result_bytes(scalar) == result_bytes(
                     batched
@@ -376,6 +373,24 @@ class TestFullSearchIdentity:
         assert any(
             p.startswith("fallback:") for p in provenances
         )
+
+    def test_anchor_survives_expansion_of_its_prefix(self, cloud):
+        """Regression: on a grid small enough for MCTS to expand the
+        anchor line's prefix (minimal b, d, m1), the anchor is still
+        the largest viable p.  The driver used to pop expansions out
+        of the memoized viability list the anchor is read from, so
+        the search priced a different incumbent than the oracle (one
+        extra evaluation)."""
+        model = ModelConfig(
+            name="tiny", d_model=16, heads=1, e_head=16,
+            ffn_hidden=16, layers=1, activation="gelu",
+        )
+        for seq_len in (64, 512):
+            workload = Workload(model, seq_len=seq_len, batch=1)
+            searcher = TileSeek(iterations=400, seed=0)
+            scalar = scalar_search(searcher, workload, cloud, budget=40)
+            batched = searcher.search(workload, cloud, budget=40)
+            assert result_bytes(scalar) == result_bytes(batched)
 
     def test_oversized_warm_start_routes_through_scalar(
         self, cloud
@@ -388,94 +403,11 @@ class TestFullSearchIdentity:
         )
         huge = (1 << 55, 16, 1, 1 << 55, 16)
         searcher = TileSeek(iterations=60, seed=1)
-        scalar = searcher.search(
-            workload, cloud, warm_start=(huge,), scalar=True
+        scalar = scalar_search(
+            searcher, workload, cloud, warm_start=(huge,)
         )
-        batched = searcher.search(
-            workload, cloud, warm_start=(huge,), scalar=False
-        )
+        batched = searcher.search(workload, cloud, warm_start=(huge,))
         assert result_bytes(scalar) == result_bytes(batched)
-
-    def test_env_flag_selects_scalar_oracle(
-        self, cloud, monkeypatch
-    ):
-        """``REPRO_SCALAR_EVAL=1`` must route ``search()`` through
-        the scalar driver (and stay byte-identical)."""
-        import repro.tileseek.search as search_module
-
-        workload = Workload(
-            named_model("t5"), seq_len=4096, batch=8
-        )
-        batched_calls = [0]
-        real = search_module.mcts_search_batched
-
-        def counting(*args, **kwargs):
-            batched_calls[0] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(
-            search_module, "mcts_search_batched", counting
-        )
-        monkeypatch.setenv("REPRO_SCALAR_EVAL", "1")
-        forced = TileSeek(iterations=60, seed=0).search(
-            workload, cloud
-        )
-        assert batched_calls[0] == 0
-        monkeypatch.delenv("REPRO_SCALAR_EVAL")
-        default = TileSeek(iterations=60, seed=0).search(
-            workload, cloud
-        )
-        assert batched_calls[0] == 1
-        assert result_bytes(forced) == result_bytes(default)
-
-
-class TestDiagnosticsBatch:
-    """``diagnose_infeasible_batch`` equals the scalar diagnosis per
-    entry, including the Table-2-order worst-module tie-break."""
-
-    @pytest.mark.parametrize("model_name", MODELS)
-    def test_matches_scalar_across_capacities(self, model_name):
-        model = named_model(model_name)
-        capacities = (1 << 10, 1 << 14, 1 << 18, 1 << 22, 1 << 26)
-        for capacity in capacities:
-            scalar = diagnose_infeasible(
-                model, capacity, m0=256, rows=256
-            )
-            batched = diagnose_infeasible_batch(
-                model, capacity, m0=256, rows=256, cfgs=[None]
-            )[0]
-            if scalar is None:
-                assert batched is None
-            else:
-                assert batched is not None
-                assert batched.as_dict() == scalar.as_dict()
-
-    def test_mixed_batch_and_empty(self):
-        model = named_model("t5")
-        tiny = TilingConfig(
-            b=1, d=16, m1=1, m0=16, p=1, s=16, p_prime=1
-        )
-        big = TilingConfig(
-            b=64, d=512, m1=64, m0=256, p=4096, s=2048,
-            p_prime=16,
-        )
-        capacity = 1 << 20
-        results = diagnose_infeasible_batch(
-            model, capacity, m0=16, rows=16, cfgs=[tiny, big, None]
-        )
-        assert len(results) == 3
-        for cfg, got in zip([tiny, big, None], results):
-            expected = diagnose_infeasible(
-                model, capacity, m0=16, rows=16, cfg=cfg
-            )
-            if expected is None:
-                assert got is None
-            else:
-                assert got is not None
-                assert got.as_dict() == expected.as_dict()
-        assert diagnose_infeasible_batch(
-            model, capacity, m0=16, rows=16, cfgs=[]
-        ) == []
 
 
 class TestSweepIdentity:
@@ -509,11 +441,15 @@ class TestSweepIdentity:
             points, jobs=2, cache_dir=tmp_path / "b",
             use_cache=False,
         )
-        monkeypatch.setenv("REPRO_SCALAR_EVAL", "1")
-        scalar = run_grid(
-            points, jobs=2, cache_dir=tmp_path / "c",
-            use_cache=False,
-        )
-        monkeypatch.delenv("REPRO_SCALAR_EVAL")
+        # Sweep workers are forked, so they inherit the patch -- and
+        # this process's in-memory tiling memo, which would answer
+        # without searching: give them an empty one.
+        with monkeypatch.context() as patch:
+            patch.setattr(TileSeek, "search", scalar_search)
+            patch.setattr(executor_module, "_TILING_CACHE", {})
+            scalar = run_grid(
+                points, jobs=2, cache_dir=tmp_path / "c",
+                use_cache=False,
+            )
         assert self._rendered(serial) == self._rendered(parallel)
         assert self._rendered(serial) == self._rendered(scalar)

@@ -16,7 +16,7 @@ from repro.resilience.ladder import (
     RUNG_HEURISTIC,
     RUNG_WARM_START,
 )
-from repro.tileseek.mcts import mcts_search
+from repro.tileseek.mcts import mcts_search_batched
 from repro.tileseek.search import TileSeek
 
 
@@ -32,20 +32,20 @@ class TestMCTSDeadEnds:
     infeasible completions)."""
 
     @staticmethod
-    def _prune(partial):
+    def _viable(prefix, level):
         # Every completion under first value 2 is infeasible.
-        return len(partial) == 2 and partial[0] == 2
+        return [] if level == 1 and prefix[0] == 2 else [1, 2]
 
     def test_dead_end_recorded_and_never_evaluated(self):
         seen = []
 
-        def evaluate(assignment):
-            seen.append(assignment)
-            return 1.0 / sum(assignment)
+        def evaluate_batch(assignments):
+            seen.extend(assignments)
+            return [1.0 / sum(a) for a in assignments]
 
-        stats = mcts_search(
-            [[1, 2], [1, 2]], evaluate, iterations=32, seed=5,
-            prune=self._prune,
+        stats = mcts_search_batched(
+            [[1, 2], [1, 2]], evaluate_batch, iterations=32, seed=5,
+            viable=self._viable,
         )
         assert stats.dead_ends > 0
         assert all(a[0] == 1 for a in seen), (
@@ -55,13 +55,13 @@ class TestMCTSDeadEnds:
         assert stats.iterations == 32
 
     def test_dead_ends_do_not_break_determinism(self):
-        def evaluate(assignment):
-            return 1.0 / sum(assignment)
+        def evaluate_batch(assignments):
+            return [1.0 / sum(a) for a in assignments]
 
         runs = [
-            mcts_search(
-                [[1, 2], [1, 2]], evaluate, iterations=32, seed=5,
-                prune=self._prune,
+            mcts_search_batched(
+                [[1, 2], [1, 2]], evaluate_batch, iterations=32,
+                seed=5, viable=self._viable,
             )
             for _ in range(2)
         ]
@@ -69,9 +69,13 @@ class TestMCTSDeadEnds:
 
 
 class TestMCTSBudget:
+    @staticmethod
+    def _first_factor(assignments):
+        return [float(a[0]) for a in assignments]
+
     def test_budget_stops_after_exact_units(self):
-        stats = mcts_search(
-            [[1, 2, 3]], lambda a: float(a[0]), iterations=100,
+        stats = mcts_search_batched(
+            [[1, 2, 3]], self._first_factor, iterations=100,
             budget=Budget(7),
         )
         assert stats.iterations == 7
@@ -79,11 +83,11 @@ class TestMCTSBudget:
         assert stats.best_reward > 0
 
     def test_large_budget_is_inert(self):
-        free = mcts_search(
-            [[1, 2, 3]], lambda a: float(a[0]), iterations=20
+        free = mcts_search_batched(
+            [[1, 2, 3]], self._first_factor, iterations=20
         )
-        capped = mcts_search(
-            [[1, 2, 3]], lambda a: float(a[0]), iterations=20,
+        capped = mcts_search_batched(
+            [[1, 2, 3]], self._first_factor, iterations=20,
             budget=Budget(10**9),
         )
         assert free == capped

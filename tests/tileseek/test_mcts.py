@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tileseek.mcts import mcts_search
+from repro.tileseek.mcts import mcts_search_batched
+
+
+def batched(evaluate):
+    """Price a frontier by calling a one-leaf evaluator per leaf."""
+    return lambda assignments: [evaluate(a) for a in assignments]
 
 
 class TestMCTSBasics:
@@ -14,7 +19,9 @@ class TestMCTSBasics:
         def evaluate(assignment):
             return float(sum(assignment))
 
-        stats = mcts_search(levels, evaluate, iterations=50, seed=3)
+        stats = mcts_search_batched(
+            levels, batched(evaluate), iterations=50, seed=3
+        )
         assert stats.best_assignment == (1, 1, 1)
         assert stats.best_reward == 3.0
 
@@ -24,14 +31,18 @@ class TestMCTSBasics:
         def evaluate(assignment):
             return 1.0 / (1 + abs(sum(assignment) - 7))
 
-        a = mcts_search(levels, evaluate, iterations=60, seed=9)
-        b = mcts_search(levels, evaluate, iterations=60, seed=9)
+        a = mcts_search_batched(
+            levels, batched(evaluate), iterations=60, seed=9
+        )
+        b = mcts_search_batched(
+            levels, batched(evaluate), iterations=60, seed=9
+        )
         assert a.best_assignment == b.best_assignment
         assert a.best_reward == b.best_reward
 
     def test_evaluations_match_iterations(self):
-        stats = mcts_search(
-            [[0, 1]], lambda a: 1.0, iterations=25, seed=0
+        stats = mcts_search_batched(
+            [[0, 1]], batched(lambda a: 1.0), iterations=25, seed=0
         )
         assert stats.evaluations == 25
 
@@ -43,25 +54,31 @@ class TestMCTSBasics:
             seen.append(assignment)
             return float(sum(assignment))
 
-        def prune(partial):
+        def viable(prefix, level):
             # Forbid choosing 0 at the first level.
-            return len(partial) == 1 and partial[0] == 0
+            return [v for v in levels[level] if level or v != 0]
 
-        stats = mcts_search(
-            levels, evaluate, iterations=30, seed=1, prune=prune
+        stats = mcts_search_batched(
+            levels, batched(evaluate), iterations=30, seed=1,
+            viable=viable,
         )
         assert stats.best_assignment[0] == 1
         assert all(a[0] == 1 for a in seen)
 
     def test_invalid_args_rejected(self):
         with pytest.raises(ValueError, match="positive"):
-            mcts_search([[1]], lambda a: 0.0, iterations=0)
+            mcts_search_batched(
+                [[1]], batched(lambda a: 0.0), iterations=0
+            )
         with pytest.raises(ValueError, match="at least one"):
-            mcts_search([[]], lambda a: 0.0, iterations=5)
+            mcts_search_batched(
+                [[]], batched(lambda a: 0.0), iterations=5
+            )
 
     def test_zero_reward_everywhere_still_returns_assignment(self):
-        stats = mcts_search(
-            [[1, 2], [3, 4]], lambda a: 0.0, iterations=10, seed=0
+        stats = mcts_search_batched(
+            [[1, 2], [3, 4]], batched(lambda a: 0.0), iterations=10,
+            seed=0,
         )
         assert len(stats.best_assignment) == 2
 
@@ -78,8 +95,8 @@ class TestMCTSBasics:
             )
             return float(matches)
 
-        stats = mcts_search(
-            levels, evaluate, iterations=300, seed=seed
+        stats = mcts_search_batched(
+            levels, batched(evaluate), iterations=300, seed=seed
         )
         assert stats.best_reward >= 3.0
 
@@ -89,6 +106,10 @@ class TestMCTSBasics:
         def evaluate(assignment):
             return float(sum(assignment))
 
-        small = mcts_search(levels, evaluate, iterations=5, seed=0)
-        large = mcts_search(levels, evaluate, iterations=200, seed=0)
+        small = mcts_search_batched(
+            levels, batched(evaluate), iterations=5, seed=0
+        )
+        large = mcts_search_batched(
+            levels, batched(evaluate), iterations=200, seed=0
+        )
         assert large.tree_nodes > small.tree_nodes

@@ -11,6 +11,16 @@ from repro.tileseek.baseline_search import (
 from repro.tileseek.buffer_model import fused_buffer_requirement
 from repro.tileseek.evaluate import assess_tiling, reward_for
 from repro.tileseek.search import FACTOR_ORDER, TileSeek
+from tests.oracles import tileseek_scalar
+
+
+def run_search(searcher, workload, arch, scalar, **kwargs):
+    """One search on the scalar oracle or the production path."""
+    if scalar:
+        return tileseek_scalar.scalar_search(
+            searcher, workload, arch, **kwargs
+        )
+    return searcher.search(workload, arch, **kwargs)
 
 
 @pytest.fixture
@@ -207,17 +217,16 @@ class TestSearchEfficiency:
     ):
         """Rollouts revisit prefixes; each Table-2 completion check
         must run at most once per unique prefix (scalar oracle)."""
-        import repro.tileseek.search as search_module
-
+        oracle = tileseek_scalar
         buffer_calls = [0]
-        real_requirement = search_module.fused_buffer_requirement
+        real_requirement = oracle.fused_buffer_requirement
 
         def counting_requirement(config, model):
             buffer_calls[0] += 1
             return real_requirement(config, model)
 
         prune_calls = [0]
-        real_mcts = search_module.mcts_search
+        real_mcts = oracle.mcts_search
 
         def wrapped_mcts(levels, evaluate, **kwargs):
             inner = kwargs["prune"]
@@ -230,14 +239,11 @@ class TestSearchEfficiency:
             return real_mcts(levels, evaluate, **kwargs)
 
         monkeypatch.setattr(
-            search_module, "fused_buffer_requirement",
-            counting_requirement,
+            oracle, "fused_buffer_requirement", counting_requirement,
         )
-        monkeypatch.setattr(
-            search_module, "mcts_search", wrapped_mcts
-        )
-        TileSeek(iterations=300, seed=0).search(
-            workload, cloud, scalar=True
+        monkeypatch.setattr(oracle, "mcts_search", wrapped_mcts)
+        oracle.scalar_search(
+            TileSeek(iterations=300, seed=0), workload, cloud
         )
         assert prune_calls[0] > 0
         # Strictly fewer buffer evaluations than prune invocations:
@@ -250,20 +256,17 @@ class TestSearchEfficiency:
         """The reference config and the winner are both priced
         exactly once -- no duplicated assess_tiling work (scalar
         oracle)."""
-        import repro.tileseek.search as search_module
-
+        oracle = tileseek_scalar
         assessed = []
-        real_assess = search_module.assess_tiling
+        real_assess = oracle.assess_tiling
 
         def recording_assess(config, wl, arch):
             assessed.append(config)
             return real_assess(config, wl, arch)
 
-        monkeypatch.setattr(
-            search_module, "assess_tiling", recording_assess
-        )
-        TileSeek(iterations=200, seed=1).search(
-            workload, cloud, scalar=True
+        monkeypatch.setattr(oracle, "assess_tiling", recording_assess)
+        oracle.scalar_search(
+            TileSeek(iterations=200, seed=1), workload, cloud
         )
         assert len(assessed) == len(set(assessed))
 
@@ -307,11 +310,12 @@ class TestSearchEfficiency:
             scalar_assessed.append(config)
             return real_assess(config, wl, arch)
 
-        monkeypatch.setattr(
-            search_module, "assess_tiling", recording_assess
-        )
-        TileSeek(iterations=200, seed=1).search(
-            workload, cloud, scalar=True
+        for module in (search_module, tileseek_scalar):
+            monkeypatch.setattr(
+                module, "assess_tiling", recording_assess
+            )
+        tileseek_scalar.scalar_search(
+            TileSeek(iterations=200, seed=1), workload, cloud
         )
         scalar_count = len(scalar_assessed)
         assert scalar_count > 0
@@ -343,13 +347,12 @@ class TestEvaluationCounting:
     def test_cached_warm_start_adds_zero(
         self, workload, cloud, scalar
     ):
-        cold = TileSeek(iterations=100, seed=4).search(
-            workload, cloud, scalar=scalar
+        cold = run_search(
+            TileSeek(iterations=100, seed=4), workload, cloud, scalar
         )
-        warm = TileSeek(iterations=100, seed=4).search(
-            workload, cloud,
+        warm = run_search(
+            TileSeek(iterations=100, seed=4), workload, cloud, scalar,
             warm_start=(cold.stats.best_assignment,),
-            scalar=scalar,
         )
         # The MCTS already priced its own best assignment, so the
         # warm candidate is a cache hit: zero extra evaluations.
@@ -360,11 +363,12 @@ class TestEvaluationCounting:
         self, workload, cloud, scalar
     ):
         fresh = (1, 16, 1, 64, 16)
-        once = TileSeek(iterations=100, seed=4).search(
-            workload, cloud, warm_start=(fresh,), scalar=scalar
+        once = run_search(
+            TileSeek(iterations=100, seed=4), workload, cloud, scalar,
+            warm_start=(fresh,),
         )
-        twice = TileSeek(iterations=100, seed=4).search(
-            workload, cloud, warm_start=(fresh, fresh),
-            scalar=scalar,
+        twice = run_search(
+            TileSeek(iterations=100, seed=4), workload, cloud, scalar,
+            warm_start=(fresh, fresh),
         )
         assert twice.stats.evaluations == once.stats.evaluations
